@@ -13,8 +13,8 @@ Four capability areas, one per submodule:
   two-torus, free-abelian-cover homology, fiber linking, and the
   Casson-type applicability predicate.
 
-All comparisons that can be exact are exact (`fractions.Fraction`); binary64
-appears only in reporting fields.
+All comparisons that can be exact are exact (`fractions.Fraction`, or scaled
+integers in LLL and enumeration); binary64 appears only in reporting fields.
 """
 
 from .bundles import (

@@ -6,6 +6,7 @@ Gaussian elimination with exact rationals is both simple and fast enough.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = list  # rows of Fraction (or int, which Fraction arithmetic promotes)
@@ -26,12 +27,6 @@ def mat_mul(a, b):
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
-
-
-def vec_mat(v, m):
-    """Row vector times matrix."""
-    cols = len(m[0])
-    return [sum(v[k] * m[k][j] for k in range(len(v))) for j in range(cols)]
 
 
 def quad_form(v, g):
@@ -91,32 +86,12 @@ def inverse(rows):
     return inv
 
 
-def symmetric_pivots(rows):
-    """Gaussian pivots of a symmetric matrix without row exchanges.
-
-    Returns (pivots, bad_index): the leading principal minor of order k+1 is
-    the product of the first k+1 pivots, so the matrix is positive definite
-    iff bad_index is None.  Elimination stops at the first pivot <= 0, and
-    bad_index reports its 0-based position.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            return pivots, k
-        pivots.append(pivot)
-        for r in range(k + 1, n):
-            if a[r][k]:
-                factor = a[r][k] / pivot
-                for c in range(k, n):
-                    a[r][c] -= factor * a[k][c]
-    return pivots, None
-
-
 class RowEchelon:
-    """Incremental exact rank tracker for integer/rational row vectors."""
+    """Incremental exact rank tracker for integer row vectors.
+
+    Elimination is fraction-free: each step cross-multiplies by the pivots,
+    and a kept row is divided by the gcd of its entries.
+    """
 
     def __init__(self):
         self._rows = []   # reduced rows, each with a recorded pivot column
@@ -124,15 +99,17 @@ class RowEchelon:
 
     def try_add(self, vec) -> bool:
         """Reduce vec against the stored rows; keep it if independent."""
-        work = [Fraction(x) for x in vec]
+        work = list(vec)
         for row, piv in zip(self._rows, self._pivots):
-            if work[piv]:
-                factor = work[piv] / row[piv]
-                work = [w - factor * r for w, r in zip(work, row)]
+            b = work[piv]
+            if b:
+                a = row[piv]
+                work = [a * w - b * r for w, r in zip(work, row)]
         pivot_col = next((j for j, w in enumerate(work) if w != 0), None)
         if pivot_col is None:
             return False
-        self._rows.append(work)
+        common = math.gcd(*work)
+        self._rows.append([w // common for w in work])
         self._pivots.append(pivot_col)
         return True
 

@@ -1,15 +1,20 @@
 """Exact-rational lattices: bases, Gram matrices, duals, and reduction.
 
-Everything that feeds a comparison is kept in `fractions.Fraction`; square
-roots and other irrational values appear only in reporting layers, never
-here.  A lattice may be given by a basis (rows spanning it) or directly by
-its Gram matrix — the hexagonal lattice, for instance, has no rational
-coordinate basis, so all downstream operations consume the Gram form.
+Entries are exact rationals (`fractions.Fraction`); square roots and other
+irrational values appear only in reporting layers, never here.  LLL runs in
+scaled integers: the form is multiplied by the lcm of its denominators and
+reduced by integral LLL (Cohen, GTM 138, Alg. 2.6.7), which keeps the
+Gram-Schmidt data as integer minors, so every size-reduction and Lovasz
+decision is an exact integer comparison.  A lattice may be given by a basis
+(rows spanning it) or directly by its Gram matrix — the hexagonal lattice,
+for instance, has no rational coordinate basis, so all downstream
+operations consume the Gram form.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -68,11 +73,15 @@ class GramMatrix:
     """Symmetric positive-definite matrix of inner products, exact entries.
 
     Positive definiteness is checked at construction through the signs of
-    the Gaussian pivots (equivalently, the leading principal minors), so a
-    constructed instance is always a valid Gram matrix.
+    the leading principal minors, so a constructed instance is always a
+    valid Gram matrix.
+
+    An instance is immutable, so two derived values are kept once computed:
+    the dual form (`inverse`) and lambda_1^2, which `systolic.minima` fills
+    on first use.  Equality, hashing and repr look at `entries` only.
     """
 
-    __slots__ = ("entries", "dim", "_det")
+    __slots__ = ("entries", "dim", "_det", "_inverse", "_lambda1_sq")
 
     def __init__(self, entries: Sequence[Sequence[Rational]]):
         rows = [tuple(_coerce(x) for x in row) for row in entries]
@@ -86,14 +95,13 @@ class GramMatrix:
                     raise SchemaError(
                         f"gram matrix not symmetric at entries ({i},{j})/({j},{i})"
                     )
-        pivots, bad = _linalg.symmetric_pivots(rows)
-        if bad is not None:
-            raise NotPositiveDefinite(
-                f"leading principal minor of order {bad + 1} is not positive"
-            )
+        int_rows, scale = _integerize(rows)
+        d, _ = _integral_gso(int_rows)
         self.entries = tuple(rows)
         self.dim = n
-        self._det = math.prod(pivots)
+        self._det = Fraction(d[n], scale**n)
+        self._inverse = None
+        self._lambda1_sq = None
 
     @property
     def det(self) -> Fraction:
@@ -102,7 +110,9 @@ class GramMatrix:
 
     def inverse(self) -> "GramMatrix":
         """Gram matrix of the dual lattice."""
-        return GramMatrix(_linalg.inverse([list(r) for r in self.entries]))
+        if self._inverse is None:
+            self._inverse = GramMatrix(_linalg.inverse([list(r) for r in self.entries]))
+        return self._inverse
 
     def scale(self, factor: Rational) -> "GramMatrix":
         """Homothety: multiply every inner product by a positive rational."""
@@ -138,12 +148,11 @@ class LatticeBasis:
         self.dim = n
 
     def gram(self) -> GramMatrix:
-        n = self.dim
-        g = [
-            [sum(self.rows[i][k] * self.rows[j][k] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        return GramMatrix(g)
+        rows, scale = _integerize(self.rows)
+        square = scale * scale
+        return GramMatrix(
+            [[Fraction(sum(map(operator.mul, a, b)), square) for b in rows] for a in rows]
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticeBasis) and self.rows == other.rows
@@ -281,19 +290,38 @@ def reduce_rank2(t: Tau):
 # LLL reduction, run directly on Gram matrices
 # ---------------------------------------------------------------------------
 
-def _gso(g):
-    """Gram-Schmidt data (mu, B) of a basis known only through its Gram matrix."""
+def _integerize(rows):
+    """(integer rows of scale*rows, scale), scale the lcm of the denominators."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[int(x * scale) for x in row] for row in rows], scale
+
+
+def _integral_gso(g):
+    """Integral Gram-Schmidt data (d, lam) of an integer Gram matrix.
+
+    d[i] is the leading i x i minor (d[0] = 1), so the i-th squared
+    Gram-Schmidt norm is d[i+1]/d[i]; lam[i][j] = d[j+1] * mu_ij for j < i.
+    Both are integers, and every division below is exact (Cohen, GTM 138,
+    Alg. 2.6.7, step 2).  Raises NotPositiveDefinite at the first minor that
+    is not positive.
+    """
     n = len(g)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    proj = [[Fraction(0)] * n for _ in range(n)]  # proj[i][j] = <b_i, b*_j>
-    norms = [Fraction(0)] * n
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i):
-            r = g[i][j] - sum(mu[j][k] * proj[i][k] for k in range(j))
-            proj[i][j] = r
-            mu[i][j] = r / norms[j]
-        norms[i] = g[i][i] - sum(mu[i][k] * proj[i][k] for k in range(i))
-    return mu, norms
+        for j in range(i + 1):
+            t = g[i][j]
+            for l in range(j):
+                t = (d[l + 1] * t - lam[i][l] * lam[j][l]) // d[l]
+            if j < i:
+                lam[i][j] = t
+            else:
+                d[i + 1] = t
+        if d[i + 1] <= 0:
+            raise NotPositiveDefinite(
+                f"leading principal minor of order {i + 1} is not positive"
+            )
+    return d, lam
 
 
 def _translate(g, u, k, j, q):
@@ -313,32 +341,59 @@ def _swap(g, u, k, j):
         row[k], row[j] = row[j], row[k]
 
 
-def _lll_rows(g, delta: Fraction):
-    """Exact LLL on a Gram matrix given as mutable Fraction rows.
+def _swap_gso(d, lam, k):
+    """Update (d, lam) in place for the exchange of b_{k-1} and b_k
+    (Cohen, GTM 138, Alg. 2.6.7, sub-algorithm SWAPI)."""
+    for j in range(k - 1):
+        lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+    t = lam[k][k - 1]
+    b = (d[k - 1] * d[k + 1] + t * t) // d[k]
+    for i in range(k + 1, len(lam)):
+        s = lam[i][k]
+        lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
+        lam[i][k - 1] = (b * s + t * lam[i][k]) // d[k + 1]
+    d[k] = b
 
-    Returns (reduced_gram_rows, transform) with transform integral,
-    det = +-1, and reduced = transform * original * transform^T.
+
+def _reduce(g: GramMatrix, delta: Fraction):
+    """Integral LLL on a Gram matrix (Cohen, GTM 138, Alg. 2.6.7; de Weger 1987).
+
+    Returns (rows, scale, u, d, lam): the reduced form U (scale*g) U^T as
+    integer rows, scale the lcm of g's denominators, the transform U
+    (integral, det +-1), and the Gram-Schmidt data of rows as in
+    `_integral_gso`.
+
+    The form is scaled to integers and d, lam are updated in place on every
+    size reduction and swap, never rebuilt.  Each b_k is size-reduced against
+    b_{k-1}, ..., b_0 with r = floor(mu + 1/2) = (2 lam + d) // (2 d) before
+    the Lovasz test q*(d_{k+1} d_{k-1} + lam^2) >= p*d_k^2 for delta = p/q,
+    all in integers.
     """
-    n = len(g)
+    rows, scale = _integerize(g.entries)
+    n = len(rows)
     u = _linalg.identity_int(n)
-    if n == 1:
-        return g, u
-    mu, norms = _gso(g)
-    half = Fraction(1, 2)
+    d, lam = _integral_gso(rows)
+    p, q = delta.numerator, delta.denominator
     k = 1
     while k < n:
+        lam_k = lam[k]
         for j in range(k - 1, -1, -1):
-            q = math.floor(mu[k][j] + half)
-            if q:
-                _translate(g, u, k, j, q)
-                mu, norms = _gso(g)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            dj = d[j + 1]
+            r = (2 * lam_k[j] + dj) // (2 * dj)
+            if r:
+                _translate(rows, u, k, j, r)
+                lam_k[j] -= r * dj
+                lam_j = lam[j]
+                for i in range(j):
+                    lam_k[i] -= r * lam_j[i]
+        t = lam_k[k - 1]
+        if q * (d[k + 1] * d[k - 1] + t * t) >= p * d[k] * d[k]:
             k += 1
         else:
-            _swap(g, u, k, k - 1)
-            mu, norms = _gso(g)
+            _swap(rows, u, k, k - 1)
+            _swap_gso(d, lam, k)
             k = max(k - 1, 1)
-    return g, u
+    return rows, scale, u, d, lam
 
 
 def _check_delta(delta) -> Fraction:
@@ -350,9 +405,8 @@ def _check_delta(delta) -> Fraction:
 
 def lll_reduce_gram(g: GramMatrix, delta=Fraction(3, 4)):
     """LLL-reduce a quadratic form.  Returns (reduced GramMatrix, transform rows)."""
-    d = _check_delta(delta)
-    work = [[Fraction(x) for x in row] for row in g.entries]
-    reduced, u = _lll_rows(work, d)
+    rows, scale, u, _, _ = _reduce(g, _check_delta(delta))
+    reduced = [[Fraction(x, scale) for x in row] for row in rows]
     return GramMatrix(reduced), tuple(tuple(row) for row in u)
 
 

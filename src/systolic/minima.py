@@ -1,22 +1,26 @@
 """Successive minima, Hermite-type invariants, and the sharp-constant catalog.
 
-The enumeration is complete and exact: the form is scaled to integers, LLL
-preconditioned, and all vectors inside a ball of provably sufficient radius
-are generated by layered Fincke-Pohst recursion with exact rational pruning
-bounds.  Greedy independent selection over the sorted vector list then reads
-off every requested minimum together with a witness.
+The enumeration is complete and exact: the form is scaled to integers and
+reduced by integral LLL (Cohen, GTM 138, Alg. 2.6.7), and all vectors inside
+a ball of provably sufficient radius are generated by layered Fincke-Pohst
+recursion on the integral Gram-Schmidt data that reduction holds, with
+integer pruning bounds and integer-square-root windows.  Greedy independent
+selection over the sorted vector list then reads off every requested minimum
+together with a witness.  lambda_1^2 is kept on the GramMatrix, so the
+invariants built on it enumerate each form at most once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import _linalg
 from .errors import InvalidParameters, UnknownConstant
-from .lattice import GramMatrix, _gso, _lll_rows
+from .lattice import GramMatrix, _reduce
 
 __all__ = [
     "MinimaReport",
@@ -52,57 +56,46 @@ class MinimaReport:
     witnesses: tuple
 
 
-def _integerize(g: GramMatrix):
-    denom = math.lcm(*(x.denominator for row in g.entries for x in row))
-    rows = [[int(x * denom) for x in row] for row in g.entries]
-    return rows, denom
+def _vectors_in_ball(d, lam, radius):
+    """All nonzero integer vectors x (one per +-pair) with Q(x) <= radius, as (Q(x), x).
 
-
-def _coeff_window(center: Fraction, budget: Fraction):
-    """Integer interval {x : (x - center)^2 <= budget}, computed exactly.
-
-    A float square root pins the endpoints to within a couple of units and
-    exact Fraction checks then fix them, so no exactness is lost.
-    """
-    if budget < 0:
-        return 1, 0
-    approx = math.isqrt(int(budget)) + 2 if budget > 4e18 else int(math.sqrt(float(budget))) + 2
-    hi = math.floor(center) + approx
-    while hi > center and (hi - center) ** 2 > budget:
-        hi -= 1
-    lo = math.ceil(center) - approx
-    while lo < center and (center - lo) ** 2 > budget:
-        lo += 1
-    return lo, hi
-
-
-def _vectors_in_ball(gram_rows, radius):
-    """All nonzero integer vectors x (one per +-pair) with x g x^T <= radius.
-
-    Enumerates coordinates from the last index down, pruning with the exact
-    Gram-Schmidt quadratic bounds; the topmost nonzero coordinate is kept
+    Q is the integer form whose integral Gram-Schmidt data (d, lam) the LLL
+    reduction holds (see `lattice._integral_gso`).  With M the lcm of the
+    d_l d_{l+1}, M*Q(x) = sum_l w_l Y_l^2 where w_l = M/(d_l d_{l+1}) and
+    Y_l = d_{l+1} x_l + sum_{j>l} lam_jl x_j, all integers.  Coordinates are
+    enumerated from the last index down; each level's window is read off
+    an integer square root, and the topmost nonzero coordinate is kept
     positive so each antipodal pair appears once.
     """
-    n = len(gram_rows)
-    mu, norms = _gso(gram_rows)
+    n = len(d) - 1
+    m = math.lcm(*(d[l] * d[l + 1] for l in range(n)))
+    w = [m // (d[l] * d[l + 1]) for l in range(n)]
+    top = m * radius
     found = []
     x = [0] * n
 
-    def walk(level: int, remaining: Fraction):
-        if level < 0:
-            if any(x):
-                found.append(tuple(x))
-            return
-        shift = sum(mu[j][level] * x[j] for j in range(level + 1, n))
-        lo, hi = _coeff_window(-shift, remaining / norms[level])
-        if all(v == 0 for v in x[level + 1 :]):
+    def walk(level: int, remaining: int, sign_fixed: bool):
+        dl, wl = d[level + 1], w[level]
+        c = sum(lam[j][level] * x[j] for j in range(level + 1, n))
+        s = math.isqrt(remaining // wl)
+        lo, hi = -((s + c) // dl), (s - c) // dl
+        if not sign_fixed:
             lo = max(lo, 0)
         for value in range(lo, hi + 1):
             x[level] = value
-            walk(level - 1, remaining - norms[level] * (value + shift) ** 2)
+            y = dl * value + c
+            rest = remaining - wl * y * y
+            if level:
+                walk(level - 1, rest, sign_fixed or value != 0)
+            elif sign_fixed or value:
+                found.append(((top - rest) // m, tuple(x)))
         x[level] = 0
 
-    walk(n - 1, Fraction(radius))
+    walk(n - 1, top, False)
+    # walk's closure holds walk itself and `found`; unbinding it breaks that
+    # cycle, so the ball is freed when the caller drops it rather than at
+    # the next cyclic garbage collection
+    del walk
     return found
 
 
@@ -119,18 +112,16 @@ def successive_minima(g: GramMatrix, k: Optional[int] = None) -> MinimaReport:
     if not 1 <= k <= b:
         raise InvalidParameters(f"k must satisfy 1 <= k <= {b}, got {k}")
 
-    int_rows, scale = _integerize(g)
-    work = [[Fraction(v) for v in row] for row in int_rows]
-    reduced, transform = _lll_rows(work, Fraction(3, 4))
-    radius = max(int(reduced[i][i]) for i in range(k))
+    rows, scale, transform, d, lam = _reduce(g, Fraction(3, 4))
+    radius = max(rows[i][i] for i in range(k))
+    columns = list(zip(*transform))
 
     candidates = []
-    for x in _vectors_in_ball(reduced, radius):
-        y = [sum(x[i] * transform[i][j] for i in range(b)) for j in range(b)]
+    for norm, x in _vectors_in_ball(d, lam, radius):
+        y = [sum(map(operator.mul, x, col)) for col in columns]
         lead = next(v for v in y if v)
         if lead < 0:
             y = [-v for v in y]
-        norm = _linalg.quad_form(y, int_rows)
         candidates.append((norm, tuple(y)))
     candidates.sort()
 
@@ -143,11 +134,15 @@ def successive_minima(g: GramMatrix, k: Optional[int] = None) -> MinimaReport:
             if len(lambdas) == k:
                 break
     assert len(lambdas) == k, "enumeration ball too small (cannot happen)"
+    g._lambda1_sq = lambdas[0]
     return MinimaReport(dim=b, lambda_sq=tuple(lambdas), witnesses=tuple(witnesses))
 
 
 def shortest_vector_sq(g: GramMatrix) -> Fraction:
-    return successive_minima(g, 1).lambda_sq[0]
+    """lambda_1^2 of g, enumerated once per GramMatrix instance."""
+    if g._lambda1_sq is None:
+        successive_minima(g, 1)
+    return g._lambda1_sq
 
 
 # ---------------------------------------------------------------------------

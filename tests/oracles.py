@@ -181,6 +181,111 @@ def box_shortest(gram_rows, bound: int | None = None) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# rational Gram-Schmidt, LLL and Fincke-Pohst: the library's integral versions
+# must make the same decisions and find the same vectors
+# ---------------------------------------------------------------------------
+
+
+def frac_gso(g):
+    """Gram-Schmidt data (mu, B) of a basis known only through its Gram matrix."""
+    g = [[Fraction(x) for x in row] for row in g]
+    n = len(g)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    proj = [[Fraction(0)] * n for _ in range(n)]  # proj[i][j] = <b_i, b*_j>
+    norms = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            r = g[i][j] - sum(mu[j][k] * proj[i][k] for k in range(j))
+            proj[i][j] = r
+            mu[i][j] = r / norms[j]
+        norms[i] = g[i][i] - sum(mu[i][k] * proj[i][k] for k in range(i))
+    return mu, norms
+
+
+def frac_lll(gram_rows, delta):
+    """LLL in Fraction arithmetic, rebuilding the Gram-Schmidt data after
+    every size reduction and swap.
+
+    Size-reduces b_k against b_{k-1}, ..., b_0 with q = floor(mu + 1/2), then
+    applies the Lovasz test.  Returns (reduced Gram rows, transform rows).
+    """
+    g = [[Fraction(x) for x in row] for row in gram_rows]
+    delta = Fraction(delta)
+    n = len(g)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def translate(k, j, q):
+        u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+        for i in range(n):
+            g[k][i] -= q * g[j][i]
+        for i in range(n):
+            g[i][k] -= q * g[i][j]
+
+    def swap(k, j):
+        u[k], u[j] = u[j], u[k]
+        g[k], g[j] = g[j], g[k]
+        for row in g:
+            row[k], row[j] = row[j], row[k]
+
+    mu, norms = frac_gso(g)
+    half = Fraction(1, 2)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = math.floor(mu[k][j] + half)
+            if q:
+                translate(k, j, q)
+                mu, norms = frac_gso(g)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            swap(k, k - 1)
+            mu, norms = frac_gso(g)
+            k = max(k - 1, 1)
+    return g, u
+
+
+def frac_ball(gram_rows, radius):
+    """Set of nonzero integer vectors x (one per +-pair, topmost nonzero
+    coordinate positive) with x g x^T <= radius, by Fincke-Pohst recursion
+    over Fraction Gram-Schmidt bounds."""
+    g = [[Fraction(x) for x in row] for row in gram_rows]
+    n = len(g)
+    mu, norms = frac_gso(g)
+    found = set()
+    x = [0] * n
+
+    def window(center, budget):
+        if budget < 0:
+            return 1, 0
+        approx = math.isqrt(math.floor(budget)) + 2
+        hi = math.floor(center) + approx
+        while hi > center and (hi - center) ** 2 > budget:
+            hi -= 1
+        lo = math.ceil(center) - approx
+        while lo < center and (center - lo) ** 2 > budget:
+            lo += 1
+        return lo, hi
+
+    def walk(level, remaining):
+        if level < 0:
+            if any(x):
+                found.add(tuple(x))
+            return
+        shift = sum(mu[j][level] * x[j] for j in range(level + 1, n))
+        lo, hi = window(-shift, remaining / norms[level])
+        if all(v == 0 for v in x[level + 1:]):
+            lo = max(lo, 0)
+        for value in range(lo, hi + 1):
+            x[level] = value
+            walk(level - 1, remaining - norms[level] * (value + shift) ** 2)
+        x[level] = 0
+
+    walk(n - 1, Fraction(radius))
+    return found
+
+
+# ---------------------------------------------------------------------------
 # codimension-one sublattices, from the definition
 # ---------------------------------------------------------------------------
 
