@@ -1,16 +1,16 @@
-"""Exact dense linear algebra helpers over `fractions.Fraction`.
+"""Exact dense linear algebra helpers on integer matrices.
 
-Small matrices only (rank <= 8 everywhere in this package), so plain
-Gaussian elimination with exact rationals is both simple and fast enough.
+Small matrices only (rank <= 8 everywhere in this package).  Elimination is
+fraction-free throughout: a rational matrix is passed as integer rows plus
+the common denominator `scale`, the determinant and the inverse come from
+one Bareiss elimination on those integers, and Fractions are built only for
+the entries returned.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-Row = list  # rows of Fraction (or int, which Fraction arithmetic promotes)
-
 
 def identity_int(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -25,65 +25,54 @@ def mat_mul(a, b):
     ]
 
 
-def transpose(m):
-    return [list(col) for col in zip(*m)]
+def bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of an integer
+    square matrix M.
 
-
-def quad_form(v, g):
-    """v * g * v^T for a row vector v."""
-    n = len(v)
-    total = 0
-    for i in range(n):
-        vi = v[i]
-        if vi:
-            row = g[i]
-            total += vi * sum(row[j] * v[j] for j in range(n))
-    return total
-
-
-def det(rows) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination with pivoting."""
+    Returns (d, e) with d = det(M) and e the integer matrix with
+    e M = d I (the adjugate of M), or (0, None) when M is singular.  The
+    identity is carried alongside M; each step cross-multiplies every other
+    row by the pivot and divides exactly by the previous pivot, so every
+    intermediate entry is a minor of [M | I].  Zero pivots are met by a row
+    swap.  Columns left of the pivot are never read again, so they are left
+    as they are.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] / pivot
-                a[r] = [a[r][j] - factor * a[col][j] for j in range(n)]
-    return sign * result
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            # negating the row swapped down keeps the determinant's sign
+            a[k], a[p] = a[p], [-x for x in a[k]]
+        pivot_row = a[k]
+        pivot, tail = pivot_row[k], pivot_row[k + 1:]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                f = row[k]
+                row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return prev, [row[n:] for row in a]
 
 
-def inverse(rows):
-    """Exact inverse; raises ZeroDivisionError on a singular matrix."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [a[r][j] - factor * a[col][j] for j in range(n)]
-                inv[r] = [inv[r][j] - factor * inv[col][j] for j in range(n)]
-    return inv
+def det(rows, scale) -> Fraction:
+    """Exact determinant of rows/scale, for integer rows."""
+    d, _ = bareiss(rows)
+    return Fraction(d, scale ** len(rows))
+
+
+def inverse(rows, scale):
+    """Exact inverse of rows/scale, for integer rows, as Fraction rows.
+
+    Raises ZeroDivisionError on a singular matrix.
+    """
+    d, e = bareiss(rows)
+    if not d:
+        raise ZeroDivisionError("singular matrix")
+    return [[Fraction(scale * x, d) for x in row] for row in e]
 
 
 class RowEchelon:

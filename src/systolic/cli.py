@@ -16,7 +16,7 @@ import sys
 from . import filling as fl
 from . import io as sio
 from .bundles import CircleBundle, bundle_invariants
-from .errors import InvalidParameters, SchemaError, SystolicError
+from .errors import SchemaError, SystolicError
 from .lattice import dual_basis, dual_gram, lll_reduce, lll_reduce_gram
 from .minima import (
     berge_martinet_invariant_sq,
@@ -39,7 +39,6 @@ __all__ = ["main"]
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance (> 0)")
     parser.add_argument(
         "--format", choices=("json", "table"), default="json", dest="fmt",
         help="output rendering",
@@ -120,7 +119,7 @@ def _cmd_lattice(args) -> dict:
         }
     if args.action == "hermite":
         herm = hermite_invariant_sq(g)
-        critical = is_critical(g, args.tol).critical if g.dim <= 4 else None
+        critical = is_critical(g).critical if g.dim <= 4 else None
         return {
             "dim": herm.dim,
             "lambda1_sq": sio.rational_str(herm.lambda1_sq),
@@ -134,7 +133,7 @@ def _cmd_lattice(args) -> dict:
         bm = berge_martinet_invariant_sq(g)
         out = {"dim": g.dim, "bm_sq": sio.rational_str(bm)}
         if g.dim <= 4:
-            crit = is_critical(g, args.tol)
+            crit = is_critical(g)
             out["dual_critical"] = crit.dual_critical
             out["constants_derived"] = crit.constants_derived
         else:
@@ -154,7 +153,7 @@ def _cmd_lattice(args) -> dict:
             out = sio.gram_to_obj(reduced_gram)
         out["transform"] = [list(row) for row in transform]
         return out
-    crit = is_critical(g, args.tol)
+    crit = is_critical(g)
     return {
         "dim": crit.dim,
         "critical": crit.critical,
@@ -292,8 +291,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage errors already printed a message
         return int(exc.code or 0)
     try:
-        if args.tol <= 0:
-            raise InvalidParameters(f"--tol must be positive, got {args.tol}")
         payload = _HANDLERS[args.group](args)
     except SystolicError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ irrational values appear only in reporting layers, never here.  LLL runs in
 scaled integers: the form is multiplied by the lcm of its denominators and
 reduced by integral LLL (Cohen, GTM 138, Alg. 2.6.7), which keeps the
 Gram-Schmidt data as integer minors, so every size-reduction and Lovasz
-decision is an exact integer comparison.  A lattice may be given by a basis
+decision is an exact integer comparison.  Determinants and inverses come
+from the fraction-free elimination in `_linalg` on the same scaled integers,
+which a GramMatrix keeps from construction.  A lattice may be given by a basis
 (rows spanning it) or directly by its Gram matrix — the hexagonal lattice,
 for instance, has no rational coordinate basis, so all downstream
 operations consume the Gram form.
@@ -52,7 +54,9 @@ Rational = Union[int, str, Fraction]
 def _coerce(value) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError("matrix entries must be rationals, not booleans")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -76,12 +80,18 @@ class GramMatrix:
     the leading principal minors, so a constructed instance is always a
     valid Gram matrix.
 
+    The integer form the constructor computes for that check is kept:
+    `_rows` holds scale * entries as integer tuples and `_scale` is the lcm
+    of the entries' denominators.  LLL, the enumeration and the inverse all
+    start from it, so no caller integerizes the entries again; LLL copies
+    the rows before it reduces them in place.
+
     An instance is immutable, so two derived values are kept once computed:
     the dual form (`inverse`) and lambda_1^2, which `systolic.minima` fills
     on first use.  Equality, hashing and repr look at `entries` only.
     """
 
-    __slots__ = ("entries", "dim", "_det", "_inverse", "_lambda1_sq")
+    __slots__ = ("entries", "dim", "_rows", "_scale", "_det", "_inverse", "_lambda1_sq")
 
     def __init__(self, entries: Sequence[Sequence[Rational]]):
         rows = [tuple(_coerce(x) for x in row) for row in entries]
@@ -99,6 +109,8 @@ class GramMatrix:
         d, _ = _integral_gso(int_rows)
         self.entries = tuple(rows)
         self.dim = n
+        self._rows = tuple(map(tuple, int_rows))
+        self._scale = scale
         self._det = Fraction(d[n], scale**n)
         self._inverse = None
         self._lambda1_sq = None
@@ -111,7 +123,7 @@ class GramMatrix:
     def inverse(self) -> "GramMatrix":
         """Gram matrix of the dual lattice."""
         if self._inverse is None:
-            self._inverse = GramMatrix(_linalg.inverse([list(r) for r in self.entries]))
+            self._inverse = GramMatrix(_linalg.inverse(self._rows, self._scale))
         return self._inverse
 
     def scale(self, factor: Rational) -> "GramMatrix":
@@ -142,7 +154,7 @@ class LatticeBasis:
         _check_dim(n)
         if any(len(v) != n for v in vecs):
             raise SchemaError("basis must be square (full rank, ambient dim = rank)")
-        if _linalg.det([list(v) for v in vecs]) == 0:
+        if _linalg.det(*_integerize(vecs)) == 0:
             raise SingularBasis("basis rows are linearly dependent")
         self.rows = tuple(vecs)
         self.dim = n
@@ -176,8 +188,8 @@ def covolume_squared(g: GramMatrix) -> Fraction:
 
 def dual_basis(basis: LatticeBasis) -> LatticeBasis:
     """Basis rows y_j with <x_i, y_j> = delta_ij: the inverse transpose."""
-    inv = _linalg.inverse([list(r) for r in basis.rows])
-    return LatticeBasis(_linalg.transpose(inv))
+    inv = _linalg.inverse(*_integerize(basis.rows))
+    return LatticeBasis(list(zip(*inv)))
 
 
 def dual_gram(g: GramMatrix) -> GramMatrix:
@@ -293,7 +305,7 @@ def reduce_rank2(t: Tau):
 def _integerize(rows):
     """(integer rows of scale*rows, scale), scale the lcm of the denominators."""
     scale = math.lcm(*(x.denominator for row in rows for x in row))
-    return [[int(x * scale) for x in row] for row in rows], scale
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows], scale
 
 
 def _integral_gso(g):
@@ -369,7 +381,7 @@ def _reduce(g: GramMatrix, delta: Fraction):
     the Lovasz test q*(d_{k+1} d_{k-1} + lam^2) >= p*d_k^2 for delta = p/q,
     all in integers.
     """
-    rows, scale = _integerize(g.entries)
+    rows, scale = [list(row) for row in g._rows], g._scale
     n = len(rows)
     u = _linalg.identity_int(n)
     d, lam = _integral_gso(rows)

@@ -182,20 +182,6 @@ def berge_martinet_invariant_sq(g: GramMatrix) -> Fraction:
 HEXAGONAL_GRAM = GramMatrix([[1, Fraction(1, 2)], [Fraction(1, 2), 1]])
 FCC_GRAM = GramMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
 
-# b-th power of the sharp rank-b constant (squared-length normalization):
-# rank 2 -> 4/3, rank 3 -> 2, rank 4 -> 4.  All exact rationals.
-_GAMMA_POWER = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4)}
-
-# squared sharp constants for the primal-dual product, (value, derived-flag).
-# Only the rank-3 value 3/2 is externally stated; 2 and 4 carry derived values.
-_GAMMA_PRIME_SQ = {
-    1: (Fraction(1), False),
-    2: (Fraction(4, 3), True),
-    3: (Fraction(3, 2), False),
-    4: (Fraction(2), True),
-}
-
-
 @dataclass(frozen=True)
 class ConstantCatalogEntry:
     """Sharp constants for one rank, exact where rational.
@@ -203,7 +189,9 @@ class ConstantCatalogEntry:
     gamma_sq is the squared constant when that is rational; in rank 3 it is
     irrational and gamma_sq_cube records its cube (x satisfies x^3 = 4)
     instead.  gamma_power is the rank-th power of the constant itself, the
-    form every exact comparison in this package uses.
+    form every exact comparison in this package uses.  gamma_prime_sq is the
+    squared primal-dual constant; only the rank-3 value 3/2 is externally
+    stated, and gamma_prime_derived flags the ranks whose value was derived.
     """
 
     dim: int
@@ -231,10 +219,10 @@ CONSTANTS = {
     ),
     2: ConstantCatalogEntry(
         dim=2,
-        gamma_power=_GAMMA_POWER[2],
+        gamma_power=Fraction(4, 3),
         gamma_sq=Fraction(4, 3),
         gamma_sq_cube=None,
-        gamma_prime_sq=_GAMMA_PRIME_SQ[2][0],
+        gamma_prime_sq=Fraction(4, 3),
         gamma_prime_derived=True,
         critical_gram=HEXAGONAL_GRAM,
         dual_critical_gram=HEXAGONAL_GRAM,
@@ -242,10 +230,10 @@ CONSTANTS = {
     ),
     3: ConstantCatalogEntry(
         dim=3,
-        gamma_power=_GAMMA_POWER[3],
+        gamma_power=Fraction(2),
         gamma_sq=None,
         gamma_sq_cube=Fraction(4),
-        gamma_prime_sq=_GAMMA_PRIME_SQ[3][0],
+        gamma_prime_sq=Fraction(3, 2),
         gamma_prime_derived=False,
         critical_gram=FCC_GRAM,
         dual_critical_gram=FCC_GRAM,
@@ -253,10 +241,10 @@ CONSTANTS = {
     ),
     4: ConstantCatalogEntry(
         dim=4,
-        gamma_power=_GAMMA_POWER[4],
+        gamma_power=Fraction(4),
         gamma_sq=Fraction(2),
         gamma_sq_cube=None,
-        gamma_prime_sq=_GAMMA_PRIME_SQ[4][0],
+        gamma_prime_sq=Fraction(2),
         gamma_prime_derived=True,
         critical_gram=None,
         dual_critical_gram=None,
@@ -268,7 +256,7 @@ CONSTANTS = {
 def gamma_power(b: int) -> Fraction:
     """The rank-b sharp constant raised to the b-th power, as an exact rational."""
     try:
-        return _GAMMA_POWER[b]
+        return CONSTANTS[b].gamma_power
     except KeyError:
         raise UnknownConstant(f"no sharp constant catalogued in rank {b}") from None
 
@@ -276,11 +264,12 @@ def gamma_power(b: int) -> Fraction:
 def gamma_prime_sq(b: int):
     """(squared primal-dual constant, derived flag) for rank b <= 4."""
     try:
-        return _GAMMA_PRIME_SQ[b]
+        entry = CONSTANTS[b]
     except KeyError:
         raise UnknownConstant(
             f"no primal-dual constant catalogued in rank {b}"
         ) from None
+    return entry.gamma_prime_sq, entry.gamma_prime_derived
 
 
 @dataclass(frozen=True)
@@ -293,11 +282,10 @@ class Criticality:
     constants_derived: bool
 
 
-def is_critical(g: GramMatrix, tol: float = 1e-9) -> Criticality:
+def is_critical(g: GramMatrix) -> Criticality:
     """Does the form attain the sharp rank constant (and the primal-dual one)?
 
-    All comparisons here reduce to exact rationals, so `tol` is accepted for
-    interface stability but never consulted on the rational path.
+    Every comparison is between exact rationals.
     """
     b = g.dim
     if b > 4:

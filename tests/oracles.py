@@ -28,46 +28,55 @@ class BoxTooLarge(Exception):
 # ---------------------------------------------------------------------------
 
 
-def frac_det(rows):
-    """Determinant by fraction-free-ish Gaussian elimination (tiny inputs)."""
+def frac_det(rows) -> Fraction:
+    """Exact determinant via fraction Gaussian elimination with pivoting.
+
+    This is the Fraction elimination the library ran before its determinant
+    became fraction-free (`systolic._linalg.bareiss`).
+    """
     n = len(rows)
     a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
+    sign = 1
+    result = Fraction(1)
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
             return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            sign = -sign
+        pivot = a[col][col]
+        result *= pivot
         for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+            if a[r][col]:
+                factor = a[r][col] / pivot
+                a[r] = [a[r][j] - factor * a[col][j] for j in range(n)]
+    return sign * result
 
 
 def frac_inverse(rows):
+    """Exact inverse by Fraction Gauss-Jordan elimination, as the library
+    computed it before `systolic._linalg.bareiss`; raises ZeroDivisionError
+    on a singular matrix."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
+    a = [[Fraction(x) for x in row] for row in rows]
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise ZeroDivisionError("singular matrix")
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        inv[col] = [x / pivot for x in inv[col]]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [a[r][j] - factor * a[col][j] for j in range(n)]
+                inv[r] = [inv[r][j] - factor * inv[col][j] for j in range(n)]
+    return inv
 
 
 def _rank(vectors) -> int:

@@ -1,10 +1,12 @@
-"""Integral LLL and integer enumeration against their Fraction references,
-and the compute-once contract of GramMatrix.
+"""Integral LLL, integer enumeration and the Bareiss determinant and
+inverse against their Fraction references, and the compute-once contract of
+GramMatrix.
 
-The references in oracles.py (`frac_lll`, `frac_gso`, `frac_ball`) redo the
-same algorithms in Fraction arithmetic, rebuilding the Gram-Schmidt data
-after every step, so equality here means the integer core makes exactly the
-same decisions: the same transform, the same reduced form, the same ball.
+The references in oracles.py (`frac_lll`, `frac_gso`, `frac_ball`,
+`frac_det`, `frac_inverse`) redo the same algorithms in Fraction arithmetic,
+rebuilding the Gram-Schmidt data after every step, so equality here means
+the integer core makes exactly the same decisions: the same transform, the
+same reduced form, the same ball, the same reduced Fractions.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ from systolic import (
     FlatTorus,
     GramMatrix,
     LatticeBasis,
+    SingularBasis,
     berge_martinet_invariant_sq,
     conformal_systole,
     hermite_invariant_sq,
@@ -33,9 +36,9 @@ from systolic import (
     torus_codim1_systole_sq,
     torus_systole_sq,
 )
-from systolic import minima
+from systolic import _linalg, minima
 from systolic.cli import main
-from systolic.lattice import _integral_gso, _reduce
+from systolic.lattice import _integerize, _integral_gso, _reduce, dual_basis
 
 import oracles
 
@@ -173,6 +176,155 @@ def test_lattice_reduce_is_byte_identical_on_seeded_corpus(tmp_path, capsys):
         # name the first input on which the Fraction reference disagrees
         for i, (obj, out) in enumerate(zip(corpus, outputs)):
             assert out == _oracle_reduce_stdout(obj), f"corpus input {i}: {obj}"
+        pytest.fail("outputs match the Fraction reference but not the recorded digest")
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_lll_leaves_the_kept_integer_form_untouched(dim, data):
+    g = data.draw(forms(dim))
+    delta = data.draw(st.sampled_from(DELTAS))
+    first = lll_reduce_gram(g, delta)
+    shortest_vector_sq(g)
+    assert lll_reduce_gram(g, delta) == first
+    rows, scale = _integerize(g.entries)
+    assert g._rows == tuple(map(tuple, rows)) and g._scale == scale
+
+
+# ---------------------------------------------------------------------------
+# Bareiss determinant and inverse vs. Fraction elimination
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def square_matrices(draw, n):
+    """(rows, scale): a rank-n integer matrix over a common denominator that
+    is integral, rational-scaled, starts with zero pivots, or is singular."""
+    entries = st.integers(-9, 9)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("integral", "scaled", "zero-pivot", "singular")))
+    scale = draw(st.integers(2, 12)) if kind == "scaled" else 1
+    if kind == "zero-pivot":
+        # zeros at the top of the first column force row swaps (all of it: singular)
+        for row in rows[: draw(st.integers(1, n))]:
+            row[0] = 0
+    elif kind == "singular":
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    return rows, scale
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_bareiss_matches_fraction_elimination(dim, data):
+    rows, scale = data.draw(square_matrices(dim))
+    fracs = [[Fraction(x, scale) for x in row] for row in rows]
+    want_det = oracles.frac_det(fracs)
+    assert _linalg.det(rows, scale) == want_det
+    d, e = _linalg.bareiss(rows)
+    if not want_det:
+        assert (d, e) == (0, None)
+        with pytest.raises(ZeroDivisionError, match="^singular matrix$"):
+            _linalg.inverse(rows, scale)
+        with pytest.raises(SingularBasis, match="^basis rows are linearly dependent$"):
+            LatticeBasis(fracs)
+        return
+    # e is the adjugate, in integers: e M = det(M) I
+    assert d == want_det * scale**dim
+    assert [[sum(e[i][k] * rows[k][j] for k in range(dim)) for j in range(dim)]
+            for i in range(dim)] == [[d * (i == j) for j in range(dim)] for i in range(dim)]
+    want_inv = oracles.frac_inverse(fracs)
+    got_inv = _linalg.inverse(rows, scale)
+    assert all(type(x) is Fraction for row in got_inv for x in row)
+    assert [[(x.numerator, x.denominator) for x in row] for row in got_inv] == [
+        [(x.numerator, x.denominator) for x in row] for row in want_inv]
+    dual = dual_basis(LatticeBasis(fracs))
+    assert dual.rows == tuple(zip(*want_inv))
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_gram_inverse_and_det_match_fraction_elimination(dim, data):
+    g = data.draw(forms(dim))
+    assert g.det == oracles.frac_det(g.entries)
+    assert g.inverse().entries == tuple(map(tuple, oracles.frac_inverse(g.entries)))
+
+
+def _dual_bm_corpus(count=280, seed=2664):
+    """Seeded `lattice dual` / `lattice bm` inputs.  Ranks 1-8 in turn, each
+    given as an integer basis (half of them with a zero leading entry), a
+    basis of p/q entries, its integral Gram matrix, that matrix over a small
+    integer, or the dual Gram matrix; basis entries in [-9, 9]."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = 1 + i % 8
+        kind = i // 8 % 5
+        while True:
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if kind == 0 and n > 1 and i // 40 % 2:
+                rows[0][0] = 0
+            if kind == 1:
+                rows = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
+            if oracles.frac_det(rows):
+                break
+        if kind < 2:
+            yield {"dim": n, "basis": [[str(Fraction(x)) for x in row] for row in rows]}
+            continue
+        g = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        if kind == 3:
+            c = rng.randint(2, 12)
+            g = [[Fraction(x, c) for x in row] for row in g]
+        elif kind == 4:
+            g = oracles.frac_inverse(g)
+        yield {"dim": n, "gram": [[str(Fraction(x)) for x in row] for row in g]}
+
+
+def _oracle_dual_bm_stdout(obj, action) -> str:
+    """What `lattice dual` / `lattice bm` printed when the inverse ran in
+    Fraction arithmetic."""
+    n = obj["dim"]
+    key = "basis" if "basis" in obj else "gram"
+    rows = [[Fraction(x) for x in row] for row in obj[key]]
+    if key == "basis":
+        gram_rows = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    else:
+        gram_rows = rows
+    if action == "dual":
+        inv = oracles.frac_inverse(rows)
+        out = {"dim": n, key: [[str(x) for x in row] for row in (zip(*inv) if key == "basis" else inv)]}
+    else:
+        bm = (shortest_vector_sq(GramMatrix(gram_rows))
+              * shortest_vector_sq(GramMatrix(oracles.frac_inverse(gram_rows))))
+        out = {"dim": n, "bm_sq": str(bm), "dual_critical": None, "constants_derived": None}
+        if n <= 4:
+            prime_sq, derived = minima.gamma_prime_sq(n)
+            out["dual_critical"], out["constants_derived"] = bm == prime_sq, derived
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+# SHA-256 of the concatenated `lattice dual` and `lattice bm` stdout over
+# _dual_bm_corpus(), recorded from the Fraction Gauss-Jordan inverse that the
+# Bareiss one replaced.
+DUAL_BM_CORPUS_SHA256 = "f4d75285a97343547eded08316c99c0ff700c7ca86260411648ff2c7e5811344"
+
+
+def test_lattice_dual_and_bm_are_byte_identical_on_seeded_corpus(tmp_path, capsys):
+    corpus = [(obj, action) for obj in _dual_bm_corpus() for action in ("dual", "bm")]
+    path = tmp_path / "lattice.json"
+    digest = hashlib.sha256()
+    outputs = []
+    for obj, action in corpus:
+        path.write_text(json.dumps(obj))
+        assert main(["lattice", action, "--in", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+        digest.update(outputs[-1].encode())
+    if digest.hexdigest() != DUAL_BM_CORPUS_SHA256:
+        # name the first input on which the Fraction reference disagrees
+        for i, ((obj, action), out) in enumerate(zip(corpus, outputs)):
+            assert out == _oracle_dual_bm_stdout(obj, action), f"corpus input {i // 2} ({action}): {obj}"
         pytest.fail("outputs match the Fraction reference but not the recorded digest")
 
 
